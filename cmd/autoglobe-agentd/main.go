@@ -83,49 +83,83 @@ import (
 	"autoglobe/internal/wire"
 )
 
-func main() {
-	var (
-		mode        = flag.String("mode", "demo", "coordinator, agent, standby or demo")
-		landscape   = flag.String("landscape", "", "declarative XML landscape (coordinator and demo modes)")
-		listen      = flag.String("listen", "127.0.0.1:7700", "coordinator listen address")
-		coordinator = flag.String("coordinator", "http://127.0.0.1:7700", "coordinator base URL (agent mode)")
-		host        = flag.String("host", "", "host name this agent serves (agent mode)")
-		load        = flag.Float64("load", 0.30, "synthetic CPU load this agent reports (agent mode)")
-		interval    = flag.Duration("interval", 2*time.Second, "wall-clock duration of one control-plane minute")
-		hours       = flag.Int("hours", 24, "simulated hours (demo mode)")
-		obsAddr     = flag.String("obs", "", "demo mode: keep serving /healthz and /autoglobe/v1/{metrics,traces} on this address after the run (coordinator and agent modes always serve them on their wire listener)")
-		journalDir  = flag.String("journal", "", "write-ahead action journal directory (coordinator and demo modes): every action is journaled before dispatch, and a restart recovers in-flight actions under a fresh epoch")
-		chaosSeed   = flag.Uint64("chaos-seed", 0, "demo mode: inject the deterministic fault schedule derived from this seed — coordinator crashes, duplicated and delayed deliveries, short partitions (0 disables)")
-		codecName   = flag.String("codec", "json", "wire codec for outgoing envelopes: json (compatible default) or binary (length-prefixed zero-alloc frames; the receiving side negotiates by content type, so mixed landscapes interoperate)")
-		shards      = flag.Int("ingest-shards", 0, "coordinator/demo modes: heartbeat ingest shard count (0: the built-in default); observation semantics are identical for any count")
-		workers     = flag.Int("dispatch-workers", 0, "coordinator/demo modes: action fan-out width — how many per-host dispatch lanes run concurrently (0: one per CPU, 1: serial); outcomes are identical for any width, same-host actions stay ordered")
-		archiveDir  = flag.String("archive-dir", "", "coordinator/demo modes: back the load archive with the segmented on-disk store in this directory; the full observation history is committed once per minute and replayed on restart")
-		forecastMin = flag.Int("forecast", 0, "coordinator/demo modes: proactive-control horizon in minutes — the forecast scan predicts every host's and service's load this far ahead and raises forecast triggers before measured overloads confirm (0 disables)")
-		rulesDir    = flag.String("rules-dir", "", "coordinator/demo modes: versioned rule-base directory (<name>@v<N>.rules); every file is validated into the rule registry and the highest version of each base is hot-swapped into the controller before the first minute")
-		shadowDir   = flag.String("shadow-rules-dir", "", "coordinator/demo modes: candidate rule-base directory shadow-evaluated beside the active rule set on every live trigger — decisions are diffed and counted in autoglobe_rules_shadow_* metrics, never executed")
-		shadowLabel = flag.String("shadow-label", "candidate", "label the shadow candidate carries in metrics and traces (with -shadow-rules-dir)")
-		standbyOf   = flag.String("standby-of", "", "standby mode: base URL of the acting coordinator to watch; when its lease lapses this process promotes itself over the shared -journal directory")
-		leaseTTL    = flag.Int("lease-ttl", lease.DefaultTTL, "standby/demo modes: leadership lease time-to-live in intervals — a leader silent this long is presumed dead (co-located standbys should stagger this so a deterministic single winner promotes first)")
-		standbys    = flag.Int("standbys", 0, "demo mode: attach this many hot-standby coordinators and run lease-based leader election (chaos seeds then also kill and partition the leader)")
-		selWorkers  = flag.Int("selection-workers", 0, "coordinator/demo modes: parallel server-selection width — how many goroutines score candidate hosts per placement decision (0 or 1: serial); selections are byte-identical at any width")
-		pprofOn     = flag.Bool("pprof", false, "expose the runtime profiling surface (net/http/pprof) under /debug/pprof/ on the observability listener")
-	)
-	flag.Parse()
+// options is the daemon's configuration: every flag, bound once by
+// bindFlags and handed whole to the mode that runs.
+type options struct {
+	mode        string
+	landscape   string
+	listen      string
+	coordinator string
+	host        string
+	load        float64
+	interval    time.Duration
+	hours       int
+	obsAddr     string
+	journalDir  string
+	chaosSeed   uint64
+	codecName   string
+	codec       wire.Codec // parsed from codecName by validateFlags
+	shards      int
+	workers     int
+	archiveDir  string
+	forecastMin int
+	rulesDir    string
+	shadowDir   string
+	shadowLabel string
+	standbyOf   string
+	leaseTTL    int
+	standbys    int
+	selWorkers  int
+	pprof       bool
+}
 
-	if err := validateFlags(*mode, *landscape, *host, *load, *interval, *hours, *chaosSeed, *codecName, *shards, *workers, *archiveDir, *forecastMin, *rulesDir, *shadowDir, *standbyOf, *journalDir, *leaseTTL, *standbys, *selWorkers); err != nil {
+// bindFlags registers every agentd flag on fs, backed by the returned
+// options.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.mode, "mode", "demo", "coordinator, agent, standby or demo")
+	fs.StringVar(&o.landscape, "landscape", "", "declarative XML landscape (coordinator and demo modes)")
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:7700", "coordinator listen address")
+	fs.StringVar(&o.coordinator, "coordinator", "http://127.0.0.1:7700", "coordinator base URL (agent mode)")
+	fs.StringVar(&o.host, "host", "", "host name this agent serves (agent mode)")
+	fs.Float64Var(&o.load, "load", 0.30, "synthetic CPU load this agent reports (agent mode)")
+	fs.DurationVar(&o.interval, "interval", 2*time.Second, "wall-clock duration of one control-plane minute")
+	fs.IntVar(&o.hours, "hours", 24, "simulated hours (demo mode)")
+	fs.StringVar(&o.obsAddr, "obs", "", "demo mode: keep serving /healthz and /autoglobe/v1/{metrics,traces} on this address after the run (coordinator and agent modes always serve them on their wire listener)")
+	fs.StringVar(&o.journalDir, "journal", "", "write-ahead action journal directory (coordinator, standby and demo modes): every action is journaled before dispatch, and a restart recovers in-flight actions under a fresh epoch")
+	fs.Uint64Var(&o.chaosSeed, "chaos-seed", 0, "demo mode: inject the deterministic fault schedule derived from this seed — coordinator crashes, duplicated and delayed deliveries, short partitions (0 disables)")
+	fs.StringVar(&o.codecName, "codec", "json", "wire codec for outgoing envelopes: json (compatible default) or binary (length-prefixed zero-alloc frames; the receiving side negotiates by content type, so mixed landscapes interoperate)")
+	fs.IntVar(&o.shards, "ingest-shards", 0, "coordinator/demo modes: heartbeat ingest shard count (0: the built-in default); observation semantics are identical for any count")
+	fs.IntVar(&o.workers, "dispatch-workers", 0, "coordinator/demo modes: action fan-out width — how many per-host dispatch lanes run concurrently (0: one per CPU, 1: serial); outcomes are identical for any width, same-host actions stay ordered")
+	fs.StringVar(&o.archiveDir, "archive-dir", "", "coordinator/demo modes: back the load archive with the segmented on-disk store in this directory; the full observation history is committed once per minute and replayed on restart")
+	fs.IntVar(&o.forecastMin, "forecast", 0, "coordinator/demo modes: proactive-control horizon in minutes — the forecast scan predicts every host's and service's load this far ahead and raises forecast triggers before measured overloads confirm (0 disables)")
+	fs.StringVar(&o.rulesDir, "rules-dir", "", "coordinator/demo modes: versioned rule-base directory (<name>@v<N>.rules); every file is validated into the rule registry and the highest version of each base is hot-swapped into the controller before the first minute")
+	fs.StringVar(&o.shadowDir, "shadow-rules-dir", "", "coordinator/demo modes: candidate rule-base directory shadow-evaluated beside the active rule set on every live trigger — decisions are diffed and counted in autoglobe_rules_shadow_* metrics, never executed")
+	fs.StringVar(&o.shadowLabel, "shadow-label", "candidate", "label the shadow candidate carries in metrics and traces (with -shadow-rules-dir)")
+	fs.StringVar(&o.standbyOf, "standby-of", "", "standby mode: base URL of the acting coordinator to watch; when its lease lapses this process promotes itself over the shared -journal directory")
+	fs.IntVar(&o.leaseTTL, "lease-ttl", lease.DefaultTTL, "standby/demo modes: leadership lease time-to-live in intervals — a leader silent this long is presumed dead (co-located standbys should stagger this so a deterministic single winner promotes first)")
+	fs.IntVar(&o.standbys, "standbys", 0, "demo mode: attach this many hot-standby coordinators and run lease-based leader election (chaos seeds then also kill and partition the leader)")
+	fs.IntVar(&o.selWorkers, "selection-workers", 0, "coordinator/demo modes: parallel server-selection width — how many goroutines score candidate hosts per placement decision (0 or 1: serial); selections are byte-identical at any width")
+	fs.BoolVar(&o.pprof, "pprof", false, "expose the runtime profiling surface (net/http/pprof) under /debug/pprof/ on the observability listener")
+	return o
+}
+
+func main() {
+	o := bindFlags(flag.CommandLine)
+	flag.Parse()
+	if err := validateFlags(o); err != nil {
 		fatal(err)
 	}
-	codec, _ := wire.ParseCodec(*codecName) // validated above
 	var err error
-	switch *mode {
+	switch o.mode {
 	case "coordinator":
-		err = runCoordinator(*landscape, *listen, *interval, *journalDir, codec, *shards, *workers, *archiveDir, *forecastMin, *rulesDir, *shadowDir, *shadowLabel, *selWorkers, *pprofOn)
+		err = runCoordinator(o)
 	case "agent":
-		err = runAgent(*host, *coordinator, *load, *interval, codec, *pprofOn)
+		err = runAgent(o)
 	case "standby":
-		err = runStandby(*landscape, *listen, *standbyOf, *interval, *journalDir, *leaseTTL, codec, *shards, *workers, *archiveDir, *forecastMin, *rulesDir, *shadowDir, *shadowLabel, *selWorkers, *pprofOn)
+		err = runStandby(o)
 	case "demo":
-		err = runDemo(*landscape, *hours, *obsAddr, *journalDir, *chaosSeed, codec, *shards, *workers, *archiveDir, *forecastMin, *rulesDir, *shadowDir, *shadowLabel, *standbys, *leaseTTL, *selWorkers, *pprofOn)
+		err = runDemo(o)
 	}
 	if err != nil {
 		fatal(err)
@@ -154,88 +188,99 @@ func mountPprof(mount func(path string, h http.Handler)) {
 	mount("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
 }
 
-func validateFlags(mode, landscape, host string, load float64, interval time.Duration, hours int, chaosSeed uint64, codecName string, shards, workers int, archiveDir string, forecastMin int, rulesDir, shadowDir, standbyOf, journalDir string, leaseTTL, standbys, selWorkers int) error {
-	if chaosSeed != 0 && mode != "demo" {
+// validateFlags rejects flag values and mode-scoped flags given to a
+// mode they do not apply to, and resolves o.codec from o.codecName.
+func validateFlags(o *options) error {
+	mode := o.mode
+	if o.chaosSeed != 0 && mode != "demo" {
 		return fmt.Errorf("-chaos-seed only applies to -mode demo")
 	}
-	if standbyOf != "" && mode != "standby" {
+	if o.obsAddr != "" && mode != "demo" {
+		return fmt.Errorf("-obs only applies to -mode demo")
+	}
+	if o.journalDir != "" && mode == "agent" {
+		return fmt.Errorf("-journal only applies to -mode coordinator, standby or demo")
+	}
+	if o.standbyOf != "" && mode != "standby" {
 		return fmt.Errorf("-standby-of only applies to -mode standby")
 	}
-	if standbys != 0 && mode != "demo" {
+	if o.standbys != 0 && mode != "demo" {
 		return fmt.Errorf("-standbys only applies to -mode demo")
 	}
-	if standbys < 0 {
-		return fmt.Errorf("-standbys %d must be >= 0", standbys)
+	if o.standbys < 0 {
+		return fmt.Errorf("-standbys %d must be >= 0", o.standbys)
 	}
-	if leaseTTL <= 0 {
-		return fmt.Errorf("-lease-ttl %d must be positive", leaseTTL)
+	if o.leaseTTL <= 0 {
+		return fmt.Errorf("-lease-ttl %d must be positive", o.leaseTTL)
 	}
-	if archiveDir != "" && mode == "agent" {
+	if o.archiveDir != "" && mode == "agent" {
 		return fmt.Errorf("-archive-dir only applies to -mode coordinator or demo")
 	}
-	if rulesDir != "" && mode == "agent" {
+	if o.rulesDir != "" && mode == "agent" {
 		return fmt.Errorf("-rules-dir only applies to -mode coordinator or demo")
 	}
-	if shadowDir != "" && mode == "agent" {
+	if o.shadowDir != "" && mode == "agent" {
 		return fmt.Errorf("-shadow-rules-dir only applies to -mode coordinator or demo")
 	}
-	if forecastMin < 0 {
-		return fmt.Errorf("-forecast %d must be >= 0", forecastMin)
+	if o.forecastMin < 0 {
+		return fmt.Errorf("-forecast %d must be >= 0", o.forecastMin)
 	}
-	if forecastMin > 0 && mode == "agent" {
+	if o.forecastMin > 0 && mode == "agent" {
 		return fmt.Errorf("-forecast only applies to -mode coordinator or demo")
 	}
-	if _, err := wire.ParseCodec(codecName); err != nil {
+	codec, err := wire.ParseCodec(o.codecName)
+	if err != nil {
 		return fmt.Errorf("-codec: %w", err)
 	}
-	if shards < 0 {
-		return fmt.Errorf("-ingest-shards %d must be >= 0", shards)
+	o.codec = codec
+	if o.shards < 0 {
+		return fmt.Errorf("-ingest-shards %d must be >= 0", o.shards)
 	}
-	if shards > 0 && mode == "agent" {
+	if o.shards > 0 && mode == "agent" {
 		return fmt.Errorf("-ingest-shards only applies to -mode coordinator or demo")
 	}
-	if workers < 0 {
-		return fmt.Errorf("-dispatch-workers %d must be >= 0", workers)
+	if o.workers < 0 {
+		return fmt.Errorf("-dispatch-workers %d must be >= 0", o.workers)
 	}
-	if workers > 0 && mode == "agent" {
+	if o.workers > 0 && mode == "agent" {
 		return fmt.Errorf("-dispatch-workers only applies to -mode coordinator or demo")
 	}
-	if selWorkers < 0 {
-		return fmt.Errorf("-selection-workers %d must be >= 0", selWorkers)
+	if o.selWorkers < 0 {
+		return fmt.Errorf("-selection-workers %d must be >= 0", o.selWorkers)
 	}
-	if selWorkers > 0 && mode == "agent" {
+	if o.selWorkers > 0 && mode == "agent" {
 		return fmt.Errorf("-selection-workers only applies to -mode coordinator or demo")
 	}
 	switch mode {
 	case "coordinator", "demo":
-		if landscape == "" {
+		if o.landscape == "" {
 			return fmt.Errorf("-mode %s needs -landscape", mode)
 		}
 	case "standby":
-		if landscape == "" {
+		if o.landscape == "" {
 			return fmt.Errorf("-mode standby needs -landscape")
 		}
-		if standbyOf == "" {
+		if o.standbyOf == "" {
 			return fmt.Errorf("-mode standby needs -standby-of (the acting coordinator's base URL)")
 		}
-		if journalDir == "" {
+		if o.journalDir == "" {
 			return fmt.Errorf("-mode standby needs -journal (the leader's journal directory on shared storage)")
 		}
 	case "agent":
-		if host == "" {
+		if o.host == "" {
 			return fmt.Errorf("-mode agent needs -host")
 		}
 	default:
 		return fmt.Errorf("unknown -mode %q (coordinator, agent, standby or demo)", mode)
 	}
-	if load < 0 || load > 1 {
-		return fmt.Errorf("-load %g outside [0, 1]", load)
+	if o.load < 0 || o.load > 1 {
+		return fmt.Errorf("-load %g outside [0, 1]", o.load)
 	}
-	if interval <= 0 {
-		return fmt.Errorf("-interval %v must be positive", interval)
+	if o.interval <= 0 {
+		return fmt.Errorf("-interval %v must be positive", o.interval)
 	}
-	if mode == "demo" && hours <= 0 {
-		return fmt.Errorf("-hours %d must be positive", hours)
+	if mode == "demo" && o.hours <= 0 {
+		return fmt.Errorf("-hours %d must be positive", o.hours)
 	}
 	return nil
 }
@@ -254,8 +299,8 @@ func loadLandscape(path string) (*spec.Landscape, error) {
 // per interval (closing the service observations, probing silent
 // hosts), and hands every confirmed trigger to the fuzzy controller,
 // whose decisions are dispatched back to the agents.
-func runCoordinator(landscapePath, listenAddr string, interval time.Duration, journalDir string, codec wire.Codec, shards, workers int, archiveDir string, forecastMin int, rulesDir, shadowDir, shadowLabel string, selWorkers int, pprofOn bool) error {
-	l, err := loadLandscape(landscapePath)
+func runCoordinator(o *options) error {
+	l, err := loadLandscape(o.landscape)
 	if err != nil {
 		return err
 	}
@@ -264,8 +309,8 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 		return err
 	}
 	tr := wire.NewHTTP()
-	tr.DefaultListenAddr = listenAddr
-	tr.Codec = codec
+	tr.DefaultListenAddr = o.listen
+	tr.Codec = o.codec
 	defer tr.Close()
 
 	// The full observability surface rides on the coordinator's wire
@@ -277,7 +322,7 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 	health.SetInfo("mode", "coordinator")
 	tr.Instrument(reg)
 	mountObs(tr, reg, tracer, health)
-	if pprofOn {
+	if o.pprof {
 		mountPprof(tr.Mount)
 	}
 
@@ -288,8 +333,8 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 	// replays it — the forecaster's day profiles survive restarts.
 	var arch *archive.Archive
 	startMinute := 0
-	if archiveDir != "" {
-		arch, err = archive.NewBacked(archiveDir, 0, tsdb.Options{})
+	if o.archiveDir != "" {
+		arch, err = archive.NewBacked(o.archiveDir, 0, tsdb.Options{})
 		if err != nil {
 			return err
 		}
@@ -301,7 +346,7 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 			startMinute = last + 1
 		}
 		fmt.Printf("archive: %s, %d entities restored, resuming at minute %d\n",
-			archiveDir, len(arch.Entities()), startMinute)
+			o.archiveDir, len(arch.Entities()), startMinute)
 	}
 	lms, err := monitor.NewSystem(params, arch)
 	if err != nil {
@@ -313,10 +358,10 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 	if err != nil {
 		return err
 	}
-	if shards > 0 {
-		coord.Reshard(shards)
+	if o.shards > 0 {
+		coord.Reshard(o.shards)
 	}
-	health.SetInfo("codec", codec.String())
+	health.SetInfo("codec", o.codec.String())
 	health.SetInfo("ingest_shards", fmt.Sprintf("%d", coord.Shards()))
 	coord.Instrument(reg)
 	coord.Liveness().Instrument(reg)
@@ -327,19 +372,19 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 		fmt.Printf("join: %s (PI %g, %d MB) at %s\n", h.Host, h.PerformanceIndex, h.MemoryMB, h.Addr)
 		return nil
 	}
-	disp := agent.NewDispatcher(agent.DispatchConfig{From: coord.Node(), Workers: workers}, tr)
+	disp := agent.NewDispatcher(agent.DispatchConfig{From: coord.Node(), Workers: o.workers}, tr)
 	disp.Instrument(reg)
 	disp.Trace(tracer)
 	health.SetInfo("dispatch_workers", fmt.Sprintf("%d", disp.Workers()))
 	var cj *agent.CoordinatorJournal
-	if journalDir != "" {
+	if o.journalDir != "" {
 		// Crash safety: fsync-on-commit journal, a fresh durable epoch per
 		// incarnation, and recovery of the previous incarnation's
 		// in-flight actions (answered from agent idempotency caches if
 		// they already applied; rejected on route errors until the agents
 		// rejoin, which journals the abandonment for the controller to
 		// re-plan).
-		cj, err = agent.OpenCoordinatorJournal(journalDir, journal.Options{})
+		cj, err = agent.OpenCoordinatorJournal(o.journalDir, journal.Options{})
 		if err != nil {
 			return err
 		}
@@ -358,20 +403,20 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 			fmt.Fprintf(os.Stderr, "journal recovery: %v\n", rerr)
 		}
 		fmt.Printf("journal: %s at epoch %d, %d in-flight actions re-issued\n",
-			journalDir, cj.Epoch(), reissued)
+			o.journalDir, cj.Epoch(), reissued)
 		health.SetInfo("epoch", fmt.Sprintf("%d", cj.Epoch()))
 	}
 	exec := agent.NewDispatchExecutor(dep,
 		controller.NewDeploymentExecutor(dep, controller.StickyUsers), disp)
-	ctlCfg := controller.Config{SelectionWorkers: selWorkers}
-	if forecastMin > 0 {
+	ctlCfg := controller.Config{SelectionWorkers: o.selWorkers}
+	if o.forecastMin > 0 {
 		ctlCfg.Forecast = &controller.ForecastConfig{
 			Predictor: forecast.New(lms.Archive()),
-			Horizon:   forecastMin,
+			Horizon:   o.forecastMin,
 			Threshold: params.OverloadThreshold,
 			Watching:  lms.Watching,
 		}
-		fmt.Printf("forecast: proactive scan %d minutes ahead\n", forecastMin)
+		fmt.Printf("forecast: proactive scan %d minutes ahead\n", o.forecastMin)
 	}
 	ctl, err := controller.New(ctlCfg, dep, lms.Archive(), exec)
 	if err != nil {
@@ -385,12 +430,12 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 	// re-validated, re-swapped and re-activated before the first minute.
 	rreg := rules.New(controller.RuleVocabulary)
 	ruleSwap := func(e *rules.Entry) error { return ctl.SwapRuleBase(e.Name, e.Base) }
-	if rulesDir != "" {
-		refs, err := agent.LoadRuleDir(rreg, ctl, rulesDir)
+	if o.rulesDir != "" {
+		refs, err := agent.LoadRuleDir(rreg, ctl, o.rulesDir)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("rules: %d versions loaded from %s\n", len(refs), rulesDir)
+		fmt.Printf("rules: %d versions loaded from %s\n", len(refs), o.rulesDir)
 	}
 	coord.AttachRules(rreg, ruleSwap)
 	if cj != nil {
@@ -401,15 +446,15 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 			fmt.Printf("journal: %d rule activations restored\n", n)
 		}
 	}
-	if shadowDir != "" {
+	if o.shadowDir != "" {
 		// The candidate rides along every live trigger: its decisions are
 		// diffed against the active rule set's and counted, never executed.
-		am, sm, err := agent.ShadowOverlayDir(shadowDir)
+		am, sm, err := agent.ShadowOverlayDir(o.shadowDir)
 		if err != nil {
 			return err
 		}
-		ctl.Shadow(shadowLabel, am, sm)
-		fmt.Printf("shadow: candidate %q from %s evaluated alongside the active rules\n", shadowLabel, shadowDir)
+		ctl.Shadow(o.shadowLabel, am, sm)
+		fmt.Printf("shadow: candidate %q from %s evaluated alongside the active rules\n", o.shadowLabel, o.shadowDir)
 	}
 	health.SetInfo("node", coord.Node())
 	// Coordinator.Err drains on read, so the minute loop records the
@@ -429,12 +474,12 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 	})
 
 	base, _ := tr.Addr(coord.Node())
-	fmt.Printf("coordinator listening on %s (%s), one minute every %v\n", listenAddr, base, interval)
+	fmt.Printf("coordinator listening on %s (%s), one minute every %v\n", o.listen, base, o.interval)
 	fmt.Printf("observability: %s%s, %s%s, %s%s\n", base, obs.HealthPath, base, obs.MetricsPath, base, obs.TracesPath)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(o.interval)
 	defer ticker.Stop()
 	events := 0
 	for minute := startMinute; ; minute++ {
@@ -496,9 +541,9 @@ func renderEvent(e controller.Event) string {
 // coordinator needs a well-known address), and then reports a heartbeat
 // per interval with the configured synthetic load spread over whatever
 // instances the coordinator has started here.
-func runAgent(host, coordinatorURL string, load float64, interval time.Duration, codec wire.Codec, pprofOn bool) error {
+func runAgent(o *options) error {
 	tr := wire.NewHTTP()
-	tr.Codec = codec
+	tr.Codec = o.codec
 	defer tr.Close()
 	// The agent serves the same observability surface as the
 	// coordinator on its own listener: wire-call metrics plus a health
@@ -506,18 +551,18 @@ func runAgent(host, coordinatorURL string, load float64, interval time.Duration,
 	reg := obs.NewRegistry()
 	health := obs.NewHealth()
 	health.SetInfo("mode", "agent")
-	health.SetInfo("host", host)
+	health.SetInfo("host", o.host)
 	tr.Instrument(reg)
 	mountObs(tr, reg, nil, health)
-	if pprofOn {
+	if o.pprof {
 		mountPprof(tr.Mount)
 	}
-	tr.Register(agent.CoordinatorNode, coordinatorURL)
-	a, err := agent.NewAgent(host, agent.CoordinatorNode, tr)
+	tr.Register(agent.CoordinatorNode, o.coordinator)
+	a, err := agent.NewAgent(o.host, agent.CoordinatorNode, tr)
 	if err != nil {
 		return err
 	}
-	base, _ := tr.Addr(host)
+	base, _ := tr.Addr(o.host)
 	fmt.Printf("observability: %s%s, %s%s\n", base, obs.HealthPath, base, obs.MetricsPath)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -526,12 +571,12 @@ func runAgent(host, coordinatorURL string, load float64, interval time.Duration,
 	// started before its coordinator — or re-pointed at a standby that is
 	// still promoting — keeps knocking, quickly at first, then settles at
 	// the cap instead of hammering a recovering leader.
-	hello := wire.Hello{Host: host, Addr: base}
-	backoff := interval / 4
+	hello := wire.Hello{Host: o.host, Addr: base}
+	backoff := o.interval / 4
 	if backoff <= 0 {
-		backoff = interval
+		backoff = o.interval
 	}
-	maxBackoff := 8 * interval
+	maxBackoff := 8 * o.interval
 	for {
 		err := a.SendHello(ctx, hello)
 		if err == nil {
@@ -547,16 +592,16 @@ func runAgent(host, coordinatorURL string, load float64, interval time.Duration,
 			backoff = maxBackoff
 		}
 	}
-	fmt.Printf("agent %s at %s joined %s, heartbeat every %v\n", host, base, coordinatorURL, interval)
+	fmt.Printf("agent %s at %s joined %s, heartbeat every %v\n", o.host, base, o.coordinator, o.interval)
 
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(o.interval)
 	defer ticker.Stop()
 	rep := a.Reporter()
 	// A transiently lost heartbeat is redelivered within the interval
 	// (two quick retries), and an outage that outlives the retries parks
 	// the minute in the reporter's ring for the next successful send —
 	// the coordinator's day profiles stay gap-free across a failover.
-	rep.SetRetry(2, interval/16, nil)
+	rep.SetRetry(2, o.interval/16, nil)
 	var ids []string
 	for minute := 0; ; minute++ {
 		select {
@@ -569,7 +614,7 @@ func runAgent(host, coordinatorURL string, load float64, interval time.Duration,
 		// reusable envelope (agent.HeartbeatReporter): the steady-state
 		// heartbeat costs no allocations beyond the process-table
 		// snapshot.
-		rep.Begin(minute, load, 0)
+		rep.Begin(minute, o.load, 0)
 		procs := a.Instances()
 		ids = ids[:0]
 		for id := range procs {
@@ -577,7 +622,7 @@ func runAgent(host, coordinatorURL string, load float64, interval time.Duration,
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			rep.Sample(id, procs[id], load/float64(len(ids)))
+			rep.Sample(id, procs[id], o.load/float64(len(ids)))
 		}
 		if err := rep.Send(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "heartbeat %d: %v\n", minute, err)
@@ -598,10 +643,10 @@ func runAgent(host, coordinatorURL string, load float64, interval time.Duration,
 // (VIP or DNS) so the agents' hello retry reconnects them, and
 // co-located standbys should stagger -lease-ttl so exactly one
 // promotes first.
-func runStandby(landscapePath, listenAddr, leaderURL string, interval time.Duration, journalDir string, ttl int, codec wire.Codec, shards, workers int, archiveDir string, forecastMin int, rulesDir, shadowDir, shadowLabel string, selWorkers int, pprofOn bool) error {
-	tracker := lease.NewTracker(ttl)
-	client := &http.Client{Timeout: interval / 2}
-	healthURL := leaderURL + obs.HealthPath
+func runStandby(o *options) error {
+	tracker := lease.NewTracker(o.leaseTTL)
+	client := &http.Client{Timeout: o.interval / 2}
+	healthURL := o.standbyOf + obs.HealthPath
 	check := func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, healthURL, nil)
 		if err != nil {
@@ -619,10 +664,10 @@ func runStandby(landscapePath, listenAddr, leaderURL string, interval time.Durat
 	}
 
 	fmt.Printf("standby: watching %s, lease TTL %d intervals of %v, journal %s\n",
-		leaderURL, tracker.TTL(), interval, journalDir)
+		o.standbyOf, tracker.TTL(), o.interval, o.journalDir)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(o.interval)
 	defer ticker.Stop()
 	var lastEpoch uint64
 	lastPending := -1
@@ -641,7 +686,7 @@ func runStandby(landscapePath, listenAddr, leaderURL string, interval time.Durat
 		// Follow the leader's durable state between checks: the replay is
 		// read-only and torn-tail tolerant, so it is safe against a leader
 		// that is still appending.
-		if ls, err := agent.WarmReplay(journalDir); err != nil {
+		if ls, err := agent.WarmReplay(o.journalDir); err != nil {
 			fmt.Fprintf(os.Stderr, "standby: warm replay: %v\n", err)
 		} else if ls.Epoch != lastEpoch || len(ls.Pending) != lastPending {
 			fmt.Printf("standby: following epoch %d, %d in-flight actions, %d hosts down\n",
@@ -653,8 +698,8 @@ func runStandby(landscapePath, listenAddr, leaderURL string, interval time.Durat
 		}
 		stop() // release the signal context; the coordinator installs its own
 		fmt.Printf("standby: lease expired after %d silent intervals — promoting over %s\n",
-			tracker.TTL(), journalDir)
-		return runCoordinator(landscapePath, listenAddr, interval, journalDir, codec, shards, workers, archiveDir, forecastMin, rulesDir, shadowDir, shadowLabel, selWorkers, pprofOn)
+			tracker.TTL(), o.journalDir)
+		return runCoordinator(o)
 	}
 }
 
@@ -662,18 +707,18 @@ func runStandby(landscapePath, listenAddr, leaderURL string, interval time.Durat
 // declared landscape runs through the simulator's distributed mode over
 // the in-memory loopback, and the run ends with the control-plane panel
 // and the usual result summary.
-func runDemo(landscapePath string, hours int, obsAddr, journalDir string, chaosSeed uint64, codec wire.Codec, shards, workers int, archiveDir string, forecastMin int, rulesDir, shadowDir, shadowLabel string, standbys, leaseTTL, selWorkers int, pprofOn bool) error {
-	l, err := loadLandscape(landscapePath)
+func runDemo(o *options) error {
+	l, err := loadLandscape(o.landscape)
 	if err != nil {
 		return err
 	}
 	tr := wire.NewLoopback()
-	tr.SetCodec(codec)
+	tr.SetCodec(o.codec)
 	defer tr.Close()
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(0)
-	jdir := journalDir
-	if (chaosSeed != 0 || standbys > 0) && jdir == "" {
+	jdir := o.journalDir
+	if (o.chaosSeed != 0 || o.standbys > 0) && jdir == "" {
 		// Crash injections need a journal to recover from (an unjournaled
 		// chaos run would die at the first crash), and standby
 		// coordinators warm-replay the leader's journal directory.
@@ -686,20 +731,20 @@ func runDemo(landscapePath string, hours int, obsAddr, journalDir string, chaosS
 	}
 	var drv *chaos.Driver
 	sim, err := simulator.FromLandscapeConfig(l, func(c *simulator.Config) {
-		c.Hours = hours
-		c.ArchiveDir = archiveDir
-		c.ForecastHorizon = forecastMin
-		c.Controller.SelectionWorkers = selWorkers
-		c.RulesDir = rulesDir
-		c.ShadowRulesDir = shadowDir
-		c.ShadowLabel = shadowLabel
-		dc := &simulator.DistributedConfig{Transport: tr, JournalDir: jdir, IngestShards: shards, DispatchWorkers: workers, Standbys: standbys, LeaseTTL: leaseTTL}
-		if chaosSeed != 0 {
+		c.Hours = o.hours
+		c.ArchiveDir = o.archiveDir
+		c.ForecastHorizon = o.forecastMin
+		c.Controller.SelectionWorkers = o.selWorkers
+		c.RulesDir = o.rulesDir
+		c.ShadowRulesDir = o.shadowDir
+		c.ShadowLabel = o.shadowLabel
+		dc := &simulator.DistributedConfig{Transport: tr, JournalDir: jdir, IngestShards: o.shards, DispatchWorkers: o.workers, Standbys: o.standbys, LeaseTTL: o.leaseTTL}
+		if o.chaosSeed != 0 {
 			hosts := make([]string, 0, len(l.Servers))
 			for _, s := range l.Servers {
 				hosts = append(hosts, s.Name)
 			}
-			drv = chaos.NewDriver(chaos.NewPlan(chaosSeed, hours*60, hosts, chaos.DefaultProfile()), tr)
+			drv = chaos.NewDriver(chaos.NewPlan(o.chaosSeed, o.hours*60, hosts, chaos.DefaultProfile()), tr)
 			drv.Instrument(reg)
 			dc.Chaos = drv
 		}
@@ -724,7 +769,7 @@ func runDemo(landscapePath string, hours int, obsAddr, journalDir string, chaosS
 			drv.Leader = e.LeaderNode
 		}
 		fmt.Printf("chaos: seed %d schedules %d injections over %d minutes\n",
-			chaosSeed, drv.Remaining(), hours*60)
+			o.chaosSeed, drv.Remaining(), o.hours*60)
 	}
 	res, err := sim.Run()
 	if err != nil {
@@ -756,7 +801,7 @@ func runDemo(landscapePath string, hours int, obsAddr, journalDir string, chaosS
 	if res.DemotedHosts > 0 || res.RepooledHosts > 0 {
 		fmt.Printf("demoted %d hosts, re-pooled %d\n", res.DemotedHosts, res.RepooledHosts)
 	}
-	if obsAddr == "" {
+	if o.obsAddr == "" {
 		return nil
 	}
 	// -obs keeps the finished run inspectable: the metrics, traces and
@@ -765,17 +810,17 @@ func runDemo(landscapePath string, hours int, obsAddr, journalDir string, chaosS
 	health := obs.NewHealth()
 	health.SetInfo("mode", "demo")
 	mux := obs.Handler(reg, tracer, health)
-	if pprofOn {
+	if o.pprof {
 		mountPprof(func(p string, h http.Handler) { mux.Handle(p, h) })
 	}
 	srv := &http.Server{
-		Addr:              obsAddr,
+		Addr:              o.obsAddr,
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,
 	}
-	ln, err := net.Listen("tcp", obsAddr)
+	ln, err := net.Listen("tcp", o.obsAddr)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,8 @@
 // operations is a day-in-the-life tour of AutoGlobe's operator surface:
 // the controller runs in semi-automatic mode, so decisions wait for a
 // human; a security guard decides who may confirm them and audits every
-// attempt; the ServiceGlobe federation keeps client traffic flowing
-// across the resulting relocation; and a failing binding layer shows
-// the transactional executor rolling an action back cleanly.
+// attempt; and a failing binding layer shows the transactional executor
+// rolling an action back cleanly.
 //
 //	go run ./examples/operations
 package main
@@ -17,7 +16,6 @@ import (
 	"autoglobe/internal/cluster"
 	"autoglobe/internal/controller"
 	"autoglobe/internal/monitor"
-	"autoglobe/internal/registry"
 	"autoglobe/internal/security"
 	"autoglobe/internal/service"
 )
@@ -47,26 +45,11 @@ func main() {
 	}
 	inst.Users = 140
 
-	// ServiceGlobe federation: hosts join, the deployment is mirrored,
-	// clients route by service name.
-	fed := registry.NewFederation()
-	for _, h := range cl.Names() {
-		if err := fed.Join(h); err != nil {
-			log.Fatal(err)
-		}
-	}
 	inner := controller.NewDeploymentExecutor(dep, controller.RebalanceUsers)
-	mirror, err := registry.NewMirror(fed, dep, inner)
-	if err != nil {
-		log.Fatal(err)
-	}
-	router := registry.NewRouter(fed)
-	ep, _ := router.Route("orders")
-	fmt.Printf("client reaches orders at service IP %v (bound to %s)\n", ep.ServiceIP, ep.Host)
 
 	// Controller in semi-automatic mode behind the security console.
 	arch := archive.New(0)
-	ctl, err := controller.New(controller.Config{Mode: controller.SemiAutomatic}, dep, arch, mirror)
+	ctl, err := controller.New(controller.Config{Mode: controller.SemiAutomatic}, dep, arch, inner)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,15 +86,13 @@ func main() {
 		fmt.Printf("vera tries to approve: %v\n", err)
 	}
 	// The operator confirms; the action executes through the
-	// transactional executor and the federation rebinds the service IP.
+	// transactional executor.
 	d, err := console.Approve("olive", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("olive approves: %s executed\n", d)
-	after, _ := router.RouteAddr(ep.ServiceIP)
-	fmt.Printf("same service IP %v now bound to %s — clients never noticed\n",
-		ep.ServiceIP, after.Host)
+	moved, _ := dep.Instance(inst.ID)
 
 	// Later, the binding layer has an outage: the transactional
 	// executor rolls the whole action back instead of leaving the
@@ -119,7 +100,7 @@ func main() {
 	inner.PostStep = func(*controller.Decision) error {
 		return errors.New("binding layer outage")
 	}
-	hostBefore := after.Host
+	hostBefore := moved.Host
 	err = inner.Execute(&controller.Decision{
 		Trigger: monitor.Trigger{Minute: 60}, Action: service.ActionScaleDown,
 		Service: "orders", InstanceID: inst.ID, TargetHost: "blade2", SourceHost: hostBefore,

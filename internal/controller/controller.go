@@ -89,24 +89,12 @@ type Config struct {
 	// parity-tested and benchmarked against. Decisions are identical
 	// either way; only enumeration cost changes.
 	DisablePlacementIndex bool
-	// Reservations, when set, lets the server-selection controller see
-	// capacity reserved for registered mission-critical tasks: the
-	// reserved fraction is added to a candidate host's CPU load, so the
-	// controller steers ordinary services elsewhere (the paper's planned
-	// explicit-reservations extension).
-	Reservations Reserver
 	// Notify, when set, receives every message-log event as it is
 	// appended — executed actions, failures, administrator alerts. This
 	// is where a deployment hooks its paging or ticketing system; the
 	// paper's controller "requests human interaction by alerting the
 	// system administrator".
 	Notify func(Event)
-}
-
-// Reserver reports the capacity fraction reserved on a host at a minute
-// (see the reservation package).
-type Reserver interface {
-	ReservedOn(host string, minute int) float64
 }
 
 // DefaultProtectionMinutes is the paper's protection time.

@@ -23,29 +23,21 @@ type ForecastConfig struct {
 	// trigger is raised — typically the monitor's overload threshold,
 	// so "predicted overload" means the same thing as a measured one.
 	Threshold float64
-	// MinConfidence discards predictions whose profile evidence (see
-	// forecast.Predictor) is below this value. The confidence also
-	// rides on the trigger, where the forecast rule bases weigh it
-	// fuzzily; this is the hard floor underneath. Default 0.
-	MinConfidence float64
-	// RampFraction gates forecasts on the present: a trigger fires only
-	// when the entity's latest measured load has already climbed past
-	// RampFraction·Threshold. The day profile alone keeps "predicting"
-	// yesterday's overload even after a remedy fixed it — demanding a
-	// live ramp restricts the scan to situations actually unfolding,
-	// so the forecast front-runs the watchTime instead of replaying
-	// history. Default 0.8; negative disables the gate.
-	RampFraction float64
 	// Watching, when set, suppresses the proactive scan for archive
 	// entities already under a monitor watch: a situation the reactive
 	// pipeline is about to confirm does not need a forecast.
 	Watching func(entity string) bool
 }
 
-// defaultRampFraction is the ramp gate when ForecastConfig.RampFraction
-// is left zero: forecasts fire once measured load reaches 80 % of the
-// overload threshold.
-const defaultRampFraction = 0.8
+// rampFraction gates forecasts on the present: a trigger fires only
+// when the entity's latest measured load has already climbed past
+// rampFraction·Threshold. The day profile alone keeps "predicting"
+// yesterday's overload even after a remedy fixed it — demanding a live
+// ramp restricts the scan to situations actually unfolding, so the
+// forecast front-runs the watchTime instead of replaying history.
+// Confidence is not gated here: it rides on the trigger, where the
+// forecast rule bases weigh it fuzzily.
+const rampFraction = 0.8
 
 // enabled reports whether the proactive scan is configured to run.
 func (f *ForecastConfig) enabled() bool {
@@ -70,11 +62,7 @@ func (c *Controller) Proactive(minute int) []monitor.Trigger {
 		return nil
 	}
 	watched := func(key string) bool { return f.Watching != nil && f.Watching(key) }
-	ramp := f.RampFraction
-	if ramp == 0 {
-		ramp = defaultRampFraction
-	}
-	floor := ramp * f.Threshold
+	floor := rampFraction * f.Threshold
 	ramping := func(key string) bool {
 		latest, have := f.Predictor.Latest(key)
 		return have && latest.CPU >= floor
@@ -100,7 +88,7 @@ func (c *Controller) Proactive(minute int) []monitor.Trigger {
 			continue
 		}
 		peak, confidence, ok := f.Predictor.PredictPeak(key, minute, f.Horizon)
-		if !ok || peak <= f.Threshold || confidence < f.MinConfidence {
+		if !ok || peak <= f.Threshold {
 			continue
 		}
 		emit(monitor.ServerForecastOverload, host, peak, confidence)
@@ -114,7 +102,7 @@ func (c *Controller) Proactive(minute int) []monitor.Trigger {
 			continue
 		}
 		peak, confidence, ok := f.Predictor.PredictPeak(key, minute, f.Horizon)
-		if !ok || peak <= f.Threshold || confidence < f.MinConfidence {
+		if !ok || peak <= f.Threshold {
 			continue
 		}
 		emit(monitor.ServiceForecastOverload, svcName, peak, confidence)

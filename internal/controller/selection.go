@@ -364,22 +364,14 @@ func (c *Controller) anyTarget(a service.Action, svcName, instID string, minute 
 }
 
 // scoreRef fills the bound input vector with the Table 3 variables of
-// one candidate host — current measurements and meta data, with
-// capacity reserved for mission-critical tasks counted as CPU load —
-// and runs the server-selection inference. ok is false when the host
-// cannot be scored (a slot the selection path cannot supply), which
-// skips the host exactly like the map path's missing-measurement error
-// did.
-func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef, minute int, live bool) (score float64, ok bool) {
+// one candidate host — current measurements and meta data — and runs
+// the server-selection inference. ok is false when the host cannot be
+// scored (a slot the selection path cannot supply), which skips the
+// host exactly like the map path's missing-measurement error did.
+func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef, live bool) (score float64, ok bool) {
 	var cpu, mem float64
 	if s, ok := c.arch.Latest(ref.Entity); ok {
 		cpu, mem = s.CPU, s.Mem
-	}
-	if c.cfg.Reservations != nil {
-		cpu += c.cfg.Reservations.ReservedOn(ref.Host.Name, minute)
-		if cpu > 1 {
-			cpu = 1
-		}
 	}
 	h := &ref.Host
 	for i, slot := range b.slots {
@@ -450,10 +442,10 @@ func better(score float64, ref *placement.HostRef, cur hostBest) bool {
 // scoreRange scores a slice of candidates into a local best using the
 // caller's input vector. Candidates below MinHostScore or that cannot
 // be scored are skipped.
-func (c *Controller) scoreRange(b *binder, vec []float64, refs []*placement.HostRef, minute int, live bool) hostBest {
+func (c *Controller) scoreRange(b *binder, vec []float64, refs []*placement.HostRef, live bool) hostBest {
 	var best hostBest
 	for _, ref := range refs {
-		score, ok := c.scoreRef(b, vec, ref, minute, live)
+		score, ok := c.scoreRef(b, vec, ref, live)
 		if !ok || score < c.cfg.MinHostScore {
 			continue
 		}
@@ -471,7 +463,7 @@ func (c *Controller) scoreRange(b *binder, vec []float64, refs []*placement.Host
 // Everything a worker touches is read-only during selection: the
 // archive, the deployment maps and the compiled programs; the inference
 // scratch is pooled per call and the latency histogram is atomic.
-func (c *Controller) scoreParallel(b *binder, refs []*placement.HostRef, minute int, live bool) hostBest {
+func (c *Controller) scoreParallel(b *binder, refs []*placement.HostRef, live bool) hostBest {
 	workers := c.cfg.SelectionWorkers
 	if workers > len(refs) {
 		workers = len(refs)
@@ -492,7 +484,7 @@ func (c *Controller) scoreParallel(b *binder, refs []*placement.HostRef, minute 
 		go func(w int, part []*placement.HostRef) {
 			defer wg.Done()
 			vec := make([]float64, len(b.slots))
-			bests[w] = c.scoreRange(b, vec, part, minute, live)
+			bests[w] = c.scoreRange(b, vec, part, live)
 		}(w, refs[lo:hi])
 	}
 	wg.Wait()
@@ -545,9 +537,9 @@ func (c *Controller) selectHostIn(rs *ruleSet, a service.Action, svcName, instID
 	refs := c.hostBuf
 	var best hostBest
 	if c.cfg.SelectionWorkers > 1 && len(refs) > 1 {
-		best = c.scoreParallel(b, refs, minute, live)
+		best = c.scoreParallel(b, refs, live)
 	} else {
-		best = c.scoreRange(b, c.vecFor(&c.selVec, len(b.slots)), refs, minute, live)
+		best = c.scoreRange(b, c.vecFor(&c.selVec, len(b.slots)), refs, live)
 	}
 	if best.ref == nil {
 		return "", 0

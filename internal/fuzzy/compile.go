@@ -15,10 +15,11 @@ import (
 // Results to the pool via Result.Release.
 //
 // The compiled path is bit-for-bit equivalent to the reference
-// interpreter (Engine.inferInterpreted): rules are evaluated in the same
-// order, fuzzification grades are memoized per (variable, term) exactly
-// as before, and consequent sets are pre-sampled with the same universe
-// discretization the interpreter uses.
+// interpreter the tests keep (Engine.inferInterpreted): rules are
+// evaluated in the same order, fuzzification grades are memoized per
+// (variable, term) exactly as before, and consequent sets are
+// pre-sampled with the same universe discretization the interpreter
+// uses.
 
 // Opcode of one compiled antecedent instruction.
 const (
@@ -247,7 +248,7 @@ func (p *Program) newResult() *Result {
 }
 
 // NumInputs returns the number of distinct input variables the compiled
-// program gathers — the length of the vector RunVec expects.
+// program gathers — the length of the vector InferVec expects.
 func (p *Program) NumInputs() int { return len(p.inputs) }
 
 // Inputs returns the names of the program's distinct input variables in
@@ -273,44 +274,12 @@ func (p *Program) MissingInputError(i int) error {
 		p.rb.Name, r, p.rb.rules[r], in.name)
 }
 
-// run executes one fuzzification → inference → defuzzification cycle of
-// the compiled program.
-func (p *Program) run(e *Engine, inputs map[string]float64) (*Result, error) {
-	sc := p.scratch.Get().(*inferScratch)
-	defer p.scratch.Put(sc)
-
-	// Gather and clamp measurements, one map lookup per distinct input
-	// variable. Missing measurements report the first rule referencing
-	// the variable, matching the interpreter's error context.
-	for i := range p.inputs {
-		in := &p.inputs[i]
-		x, ok := inputs[in.name]
-		if !ok {
-			return nil, p.MissingInputError(i)
-		}
-		if x < in.min {
-			x = in.min
-		} else if x > in.max {
-			x = in.max
-		}
-		sc.inVals[i] = x
-	}
-	return p.finish(e, sc), nil
-}
-
-// runVec is run over a caller-filled input vector: vals[i] is the
-// measurement for the i-th input slot (see Inputs). The caller must
-// fill every slot — slot resolution and missing-input detection happen
-// at bind time, not per inference — and retains vals; the program
-// copies the values into pooled scratch before clamping, so the same
-// recycled vector can back any number of inferences.
-func (p *Program) runVec(e *Engine, vals []float64) (*Result, error) {
-	if len(vals) != len(p.inputs) {
-		return nil, fmt.Errorf("fuzzy: rule base %q: input vector has %d slots, program expects %d",
-			p.rb.Name, len(vals), len(p.inputs))
-	}
-	sc := p.scratch.Get().(*inferScratch)
-	defer p.scratch.Put(sc)
+// finish clamps the gathered measurements (vals[i] for the i-th input
+// slot; vals may alias sc.inVals) into the scratch vector and runs
+// fuzzification, rule evaluation and defuzzification — the one
+// inference path behind Infer and InferVec, so the two entry points are
+// bit-identical past the gather. vals is only read.
+func (p *Program) finish(e *Engine, sc *inferScratch, vals []float64) *Result {
 	for i := range p.inputs {
 		in := &p.inputs[i]
 		x := vals[i]
@@ -321,13 +290,6 @@ func (p *Program) runVec(e *Engine, vals []float64) (*Result, error) {
 		}
 		sc.inVals[i] = x
 	}
-	return p.finish(e, sc), nil
-}
-
-// finish runs fuzzification, rule evaluation and defuzzification over
-// gathered, clamped measurements — the shared tail of run and runVec,
-// guaranteeing the two entry points are bit-identical past the gather.
-func (p *Program) finish(e *Engine, sc *inferScratch) *Result {
 	// Fuzzify every distinct (variable, term) pair once — the compiled
 	// form of the interpreter's memo map.
 	for i := range p.atoms {

@@ -205,7 +205,20 @@ func (r *Result) Release() {
 // Call Release on the returned Result when done with it to recycle its
 // buffers; steady-state inference then performs zero heap allocations.
 func (e *Engine) Infer(rb *RuleBase, inputs map[string]float64) (*Result, error) {
-	return rb.program().run(e, inputs)
+	p := rb.program()
+	sc := p.scratch.Get().(*inferScratch)
+	defer p.scratch.Put(sc)
+	// Gather into the pooled input vector, one map lookup per distinct
+	// input variable. A missing measurement reports the first rule
+	// referencing the variable, matching the interpreter's error context.
+	for i := range p.inputs {
+		x, ok := inputs[p.inputs[i].name]
+		if !ok {
+			return nil, p.MissingInputError(i)
+		}
+		sc.inVals[i] = x
+	}
+	return p.finish(e, sc, sc.inVals), nil
 }
 
 // InferVec is Infer over a pre-bound input vector: vals[i] is the crisp
@@ -219,69 +232,12 @@ func (e *Engine) Infer(rb *RuleBase, inputs map[string]float64) (*Result, error)
 // identical to the map path. InferVec is bit-identical to Infer given
 // equal inputs and safe for concurrent use.
 func (e *Engine) InferVec(rb *RuleBase, vals []float64) (*Result, error) {
-	return rb.program().runVec(e, vals)
-}
-
-// inferInterpreted is the reference tree-walking implementation the
-// compiled path is differential-tested against (see compile_test.go).
-func (e *Engine) inferInterpreted(rb *RuleBase, inputs map[string]float64) (*Result, error) {
-	// Fuzzification is memoized per (variable, term).
-	type key struct{ v, t string }
-	memo := make(map[key]float64)
-	fuzz := func(v, t string) (float64, error) {
-		k := key{v, t}
-		if g, ok := memo[k]; ok {
-			return g, nil
-		}
-		vr, ok := rb.vocab.Get(v)
-		if !ok {
-			return 0, fmt.Errorf("fuzzy: unknown variable %q", v)
-		}
-		x, ok := inputs[v]
-		if !ok {
-			return 0, fmt.Errorf("fuzzy: no measurement for input variable %q", v)
-		}
-		g, err := vr.Membership(t, x)
-		if err != nil {
-			return 0, err
-		}
-		memo[k] = g
-		return g, nil
+	p := rb.program()
+	if len(vals) != len(p.inputs) {
+		return nil, fmt.Errorf("fuzzy: rule base %q: input vector has %d slots, program expects %d",
+			p.rb.Name, len(vals), len(p.inputs))
 	}
-
-	res := &Result{
-		Outputs: make(map[string]float64),
-		Fired:   make([]float64, len(rb.rules)),
-		Sets:    make(map[string]*Set),
-	}
-	for _, name := range rb.OutputVars() {
-		v, _ := rb.vocab.Get(name)
-		res.Sets[name] = NewSet(v.Min, v.Max)
-	}
-
-	for i, r := range rb.rules {
-		truth, err := r.Antecedent.Eval(fuzz)
-		if err != nil {
-			return nil, fmt.Errorf("fuzzy: rule base %q, rule %d (%s): %w", rb.Name, i, r, err)
-		}
-		truth = clamp01(truth) * r.effectiveWeight()
-		res.Fired[i] = truth
-		if truth == 0 {
-			continue
-		}
-		for _, c := range r.Consequents {
-			v, _ := rb.vocab.Get(c.Var)
-			t, _ := v.Term(c.Term) // validated at construction
-			if e.inference == MaxProduct {
-				res.Sets[c.Var].UnionScaled(t.MF, truth)
-			} else {
-				res.Sets[c.Var].UnionClipped(t.MF, truth)
-			}
-		}
-	}
-
-	for name, set := range res.Sets {
-		res.Outputs[name] = e.defuzz.Defuzzify(set)
-	}
-	return res, nil
+	sc := p.scratch.Get().(*inferScratch)
+	defer p.scratch.Put(sc)
+	return p.finish(e, sc, vals), nil
 }

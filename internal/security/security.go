@@ -24,7 +24,7 @@ const (
 	// pending semi-automatic decisions.
 	RoleOperator Role = "operator"
 	// RoleAdmin may additionally reconfigure the controller (rule
-	// bases, thresholds, reservations).
+	// bases, thresholds).
 	RoleAdmin Role = "admin"
 )
 

@@ -58,12 +58,9 @@ type DistributedConfig struct {
 	// write-ahead action journal is opened (or recovered) there before
 	// the run starts, every dispatched action is journaled ahead of the
 	// transport, and agents fence superseded coordinator epochs. See
-	// agent.Plane.AttachJournal.
+	// agent.Plane.AttachJournal. Commits are not fsynced: the simulated
+	// crash model is process death, not power loss.
 	JournalDir string
-	// JournalSync enables fsync-on-commit for the journal. Tests and
-	// simulations leave it off (the "disk" is a temp dir and the crash
-	// model is process death, not power loss); production daemons set it.
-	JournalSync bool
 	// Chaos, when set, injects faults at every minute boundary — before
 	// any heartbeat or dispatch of the minute, so a coordinator crash
 	// never lands mid-transaction. See the chaos package.
@@ -112,11 +109,9 @@ func (dc *DistributedConfig) aliveAfter() int {
 	return dc.AliveAfter
 }
 
-// buildPlane wires the control plane for a distributed run and returns
-// the executor wrapped with the dispatching layer. Called from
-// newWithDeployment after WrapExecutor, so the dispatch layer is
-// outermost: hosts acknowledge before the model (and any federation
-// mirror) changes.
+// buildPlane wires the control plane for a distributed run. The caller
+// wraps the model executor with the plane's dispatching layer, so
+// hosts acknowledge before the model changes.
 func (s *Simulator) buildPlane(dc *DistributedConfig, lms *monitor.System) error {
 	if dc.Transport == nil {
 		return fmt.Errorf("simulator: distributed mode needs a transport")
@@ -142,7 +137,7 @@ func (s *Simulator) buildPlane(dc *DistributedConfig, lms *monitor.System) error
 	s.chaos = dc.Chaos
 	if dc.JournalDir != "" {
 		if _, _, err := plane.AttachJournal(context.Background(), dc.JournalDir,
-			journal.Options{NoSync: !dc.JournalSync}); err != nil {
+			journal.Options{NoSync: true}); err != nil {
 			return err
 		}
 	}
